@@ -47,11 +47,13 @@
 //! seed grouping and merge at the iteration barrier, so results are
 //! bit-identical to the sequential driver.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use xqy_xdm::{shard, CowStore, DocId, Interner, NodeId, NodeSet, NodeStore, StoreMut, StrId};
+use xqy_xdm::{
+    shard, CowStore, DocId, FxHashMap, FxHashSet, Interner, NodeId, NodeSet, NodeStore, StoreMut,
+    StrId,
+};
 
 use crate::error::AlgebraError;
 use crate::plan::{FunKind, Operator, Plan, PlanNodeId, SEED_COLUMN};
@@ -279,17 +281,17 @@ impl Table {
         let mask: Vec<bool> = match self.cols.len() {
             0 => return self,
             1 => {
-                let mut seen = HashSet::with_capacity(self.rows);
+                let mut seen = FxHashSet::with_capacity_and_hasher(self.rows, Default::default());
                 self.cols[0].iter().map(|&k| seen.insert(k)).collect()
             }
             2 => {
-                let mut seen = HashSet::with_capacity(self.rows);
+                let mut seen = FxHashSet::with_capacity_and_hasher(self.rows, Default::default());
                 (0..self.rows)
                     .map(|r| seen.insert((self.cols[0][r], self.cols[1][r])))
                     .collect()
             }
             _ => {
-                let mut seen = HashSet::with_capacity(self.rows);
+                let mut seen = FxHashSet::with_capacity_and_hasher(self.rows, Default::default());
                 (0..self.rows).map(|r| seen.insert(self.row(r))).collect()
             }
         };
@@ -478,13 +480,13 @@ struct PlanState {
     /// Cache of plan nodes that do not depend on the recursion input —
     /// their tables are reused across fixpoint iterations *and* across
     /// fixpoint runs.
-    static_cache: HashMap<PlanNodeId, Table>,
+    static_cache: FxHashMap<PlanNodeId, Table>,
     /// Per-*run* cache for rec-independent but **volatile** plan nodes —
     /// subtrees containing `Construct` (fresh node identity per run) or
     /// `IdLookup` (resolves against the per-run context document).  Reused
     /// across the iterations of one fixpoint run, cleared at the start of
     /// the next, never carried across runs or stores.
-    volatile_cache: HashMap<PlanNodeId, Table>,
+    volatile_cache: FxHashMap<PlanNodeId, Table>,
     /// `rec_dependent[id]` — does plan node `id` (transitively) consume a
     /// `RecInput`?  Computed once per plan, not once per body evaluation.
     rec_dependent: Vec<bool>,
@@ -841,7 +843,7 @@ impl Executor {
         let root = plan
             .root()
             .ok_or_else(|| AlgebraError::InvalidPlan("plan has no root".into()))?;
-        let mut memo: HashMap<PlanNodeId, Table> = HashMap::new();
+        let mut memo: FxHashMap<PlanNodeId, Table> = FxHashMap::default();
         self.eval_node(store, plan, root, rec, &mut memo)
     }
 
@@ -851,7 +853,7 @@ impl Executor {
         plan: &Plan,
         id: PlanNodeId,
         rec: &Table,
-        memo: &mut HashMap<PlanNodeId, Table>,
+        memo: &mut FxHashMap<PlanNodeId, Table>,
     ) -> Result<Table> {
         if let Some(cached) = memo.get(&id) {
             return Ok(cached.clone());
@@ -871,7 +873,7 @@ impl Executor {
                 return Ok(cached.clone());
             }
         }
-        let node = plan.node(id).clone();
+        let node = plan.node(id);
         let mut inputs = Vec::with_capacity(node.inputs.len());
         for &input in &node.inputs {
             inputs.push(self.eval_node(store, plan, input, rec, memo)?);
@@ -960,7 +962,7 @@ impl Executor {
                 let li = left_table.column_index(left)?;
                 let ri = right_table.column_index(right)?;
                 // Hash index over the right input, on typed keys.
-                let mut index: HashMap<Key, Vec<usize>> = HashMap::new();
+                let mut index: FxHashMap<Key, Vec<usize>> = FxHashMap::default();
                 for (row_idx, &key) in right_table.cols[ri].iter().enumerate() {
                     index.entry(key).or_default().push(row_idx);
                 }
@@ -1045,11 +1047,16 @@ impl Executor {
             Operator::Difference => {
                 let right = inputs.remove(1);
                 let left = inputs.remove(0);
+                if *left.names != *right.names {
+                    return Err(AlgebraError::Execution(
+                        "difference over tables with different schemas".into(),
+                    ));
+                }
                 let mask: Vec<bool> = if left.cols.len() == 1 && right.cols.len() == 1 {
-                    let keys: HashSet<Key> = right.cols[0].iter().copied().collect();
+                    let keys: FxHashSet<Key> = right.cols[0].iter().copied().collect();
                     left.cols[0].iter().map(|k| !keys.contains(k)).collect()
                 } else {
-                    let keys: HashSet<Vec<Key>> = (0..right.rows).map(|r| right.row(r)).collect();
+                    let keys: FxHashSet<Vec<Key>> = (0..right.rows).map(|r| right.row(r)).collect();
                     (0..left.rows)
                         .map(|r| !keys.contains(&left.row(r)))
                         .collect()
@@ -1066,7 +1073,7 @@ impl Executor {
                     Some(col) => {
                         let idx = input.column_index(col)?;
                         let mut order: Vec<Key> = Vec::new();
-                        let mut groups: HashMap<Key, i64> = HashMap::new();
+                        let mut groups: FxHashMap<Key, i64> = FxHashMap::default();
                         for &key in input.cols[idx].iter() {
                             *groups.entry(key).or_insert_with(|| {
                                 order.push(key);
@@ -1603,7 +1610,7 @@ impl Executor {
             BatchSharing::DistinctNodes => {
                 // Which seeds contain each distinct frontier node, and the
                 // distinct nodes in deterministic first-appearance order.
-                let mut owners: HashMap<NodeId, Vec<u32>> = HashMap::new();
+                let mut owners: FxHashMap<NodeId, Vec<u32>> = FxHashMap::default();
                 let mut distinct: Vec<NodeId> = Vec::new();
                 for (i, nodes) in frontier.iter().enumerate() {
                     for &node in nodes {
@@ -1711,7 +1718,7 @@ impl Executor {
         let out = self.eval_plan_in_run(store, body, &rec)?;
         let si = out.column_index(SEED_COLUMN)?;
         let ii = out.column_index("item")?;
-        let index: HashMap<NodeId, usize> = tagged
+        let index: FxHashMap<NodeId, usize> = tagged
             .iter()
             .enumerate()
             .map(|(i, &(tag, _))| (tag, i))
@@ -1833,7 +1840,7 @@ fn effective_boolean(table: &Table) -> bool {
 /// Extract the sub-plan rooted at `root` as its own [`Plan`] (used to
 /// re-drive the body input of a µ / µ∆ operator).
 fn subplan(plan: &Plan, root: PlanNodeId) -> Plan {
-    let mut mapping: HashMap<PlanNodeId, PlanNodeId> = HashMap::new();
+    let mut mapping: FxHashMap<PlanNodeId, PlanNodeId> = FxHashMap::default();
     let mut out = Plan::new();
     let new_root = copy_into(plan, root, &mut out, &mut mapping);
     out.set_root(new_root);
@@ -1844,7 +1851,7 @@ fn copy_into(
     plan: &Plan,
     id: PlanNodeId,
     out: &mut Plan,
-    mapping: &mut HashMap<PlanNodeId, PlanNodeId>,
+    mapping: &mut FxHashMap<PlanNodeId, PlanNodeId>,
 ) -> PlanNodeId {
     if let Some(&mapped) = mapping.get(&id) {
         return mapped;
@@ -2125,6 +2132,34 @@ mod tests {
             .unwrap();
         assert_eq!(result.len(), 1);
         assert_eq!(result.value(0, 0, exec.interner()), Value::Str("x".into()));
+    }
+
+    #[test]
+    fn difference_rejects_mismatched_schemas_like_union() {
+        // `Literal(item) \ [__seed, item]` used to remove nothing silently.
+        let mut store = NodeStore::new();
+        let mut plan = Plan::new();
+        let lits = plan.add(Operator::Literal(vec!["x".into()]), vec![]);
+        let rec = plan.add(Operator::RecInput, vec![]);
+        let diff = plan.add(Operator::Difference, vec![lits, rec]);
+        plan.set_root(diff);
+        let mut exec = Executor::new();
+        let tagged = Table::new(vec![SEED_COLUMN.into(), "item".into()]);
+        let err = exec.eval_plan(&mut store, &plan, &tagged).unwrap_err();
+        assert!(
+            matches!(&err, AlgebraError::Execution(msg) if msg.contains("different schemas")),
+            "{err}"
+        );
+        let union = plan.add(Operator::Union, vec![lits, rec]);
+        plan.set_root(union);
+        let union_err = exec.eval_plan(&mut store, &plan, &tagged).unwrap_err();
+        assert!(matches!(union_err, AlgebraError::Execution(_)));
+
+        // Matching schemas still subtract.
+        plan.set_root(diff);
+        let item = Table::new(vec!["item".into()]);
+        let result = exec.eval_plan(&mut store, &plan, &item).unwrap();
+        assert_eq!(result.len(), 1);
     }
 
     #[test]
@@ -2584,7 +2619,7 @@ mod tests {
     /// sequential driver — same table, same stats — for every strategy ×
     /// sharing × seed-inclusion combination and several shard counts
     /// (including more shards than seeds).  The Q1 body contains an
-    /// `IdLookup`, so this also exercises the shared id-probe memo from
+    /// `IdLookup`, so this also exercises shared `id()` probes from
     /// multiple worker threads.
     #[test]
     fn parallel_batched_matches_sequential() {

@@ -12,7 +12,7 @@
 //!   the full multiset of prerequisite codes (string × string `=` at
 //!   quadratic candidate scale);
 //! * **id_storm** — resolving every prerequisite through the ID index
-//!   (pool-membership prefilter + symbol-keyed probe memo).
+//!   (pool-membership prefilter + symbol-keyed index probe).
 //!
 //! Run with `CRITERION_JSON=BENCH_strings.json cargo bench -p xqy_bench
 //! --bench strings` to record the baseline the ROADMAP tracks.

@@ -23,7 +23,7 @@
 //! algorithms genuinely differ, is reproduced in the tests below.
 
 use xqy_parser::ast::Expr;
-use xqy_xdm::{shard, NodeId, NodeSet, NodeStore, Sequence};
+use xqy_xdm::{shard, FxHashMap, NodeId, NodeSet, NodeStore, Sequence};
 
 use crate::context::Environment;
 use crate::error::EvalError;
@@ -517,8 +517,6 @@ fn batched_shared(
     env: &mut Environment,
     stats: &mut FixpointStats,
 ) -> Result<Vec<Vec<NodeId>>> {
-    use std::collections::HashMap;
-
     /// One seed's loop state.
     struct SeedState {
         res: NodeSet,
@@ -528,12 +526,12 @@ fn batched_shared(
 
     // node → image of the singleton body application, memoized for the
     // whole run (sound by the purity precondition).
-    let mut images: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+    let mut images: FxHashMap<NodeId, Vec<NodeId>> = FxHashMap::default();
     let ensure_image = |eval: &mut Evaluator<'_>,
                         env: &mut Environment,
                         stats: &mut FixpointStats,
                         node: NodeId,
-                        images: &mut HashMap<NodeId, Vec<NodeId>>|
+                        images: &mut FxHashMap<NodeId, Vec<NodeId>>|
      -> Result<()> {
         if let std::collections::hash_map::Entry::Vacant(slot) = images.entry(node) {
             let img = call_payload(eval, var, &[node], body, env, stats)?;

@@ -38,6 +38,7 @@ pub mod budget;
 pub mod cow;
 pub mod error;
 pub mod fail;
+pub mod fxhash;
 pub mod intern;
 pub mod node;
 pub mod nodeset;
@@ -54,6 +55,7 @@ pub use budget::QueryBudget;
 pub use cow::{CowStore, StoreMut};
 pub use error::XdmError;
 pub use fail::{FaultAction, FaultError, FaultTrigger};
+pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use intern::{Interner, StrId, TextPool};
 pub use node::{Axis, NodeId, NodeKind, NodeTest, QName};
 pub use nodeset::NodeSet;

@@ -19,32 +19,85 @@
 //! rank-based sort for just those documents; the bit-level set algebra is
 //! order-independent and never needs ranks.
 //!
+//! Each document's bitmap covers only the words between its lowest and
+//! highest member (a base word offset plus the words), so a five-node
+//! frontier at the end of a large document costs one word, not a bitmap
+//! from word 0.
+//!
 //! Invariants maintained by every operation (and relied on by `PartialEq`):
-//! the per-document bitmaps contain no trailing zero words, and no document
-//! entry is empty.  Two `NodeSet`s are therefore equal as Rust values
-//! exactly when they denote the same set of node identities.
-
-use std::collections::BTreeMap;
+//! documents are sorted by id, no document span is empty, and no span has a
+//! leading or trailing zero word.  Two `NodeSet`s are therefore equal as
+//! Rust values exactly when they denote the same set of node identities.
 
 use crate::node::NodeId;
-use crate::shard;
 use crate::store::{DocId, NodeStore};
 
 const WORD_BITS: usize = 64;
 
-/// Minimum per-document bitmap size (in words) before the `_sharded`
-/// kernels actually split the word range across threads.  Below this the
-/// word loop is far cheaper than spawning scoped threads, so the kernels
-/// fall back to the sequential loop for that document.
-const SHARD_MIN_WORDS: usize = 1024;
+/// Ids buffered per pass of bulk construction ([`NodeSet::extend`]): each
+/// run of same-document ids in a buffer resolves its document span once.
+const CHUNK: usize = 128;
 
-/// A set of node identities, stored as per-document `u64` bitmaps.
+/// One document's members: bit `i` of `words[k]` is arena index
+/// `(base + k) * 64 + i`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Span {
+    doc: u32,
+    /// Absolute word index of `words[0]`.
+    base: usize,
+    words: Vec<u64>,
+}
+
+impl Span {
+    /// One past the absolute index of the last word.
+    fn end(&self) -> usize {
+        self.base + self.words.len()
+    }
+
+    /// The word at absolute word index `w`; zero outside the span.
+    fn word(&self, w: usize) -> u64 {
+        w.checked_sub(self.base)
+            .and_then(|i| self.words.get(i))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Grow the span (with one allocation at most) to cover the absolute
+    /// words `lo..=hi`.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        let end = (hi + 1).max(self.end());
+        if lo < self.base {
+            let mut words = Vec::with_capacity(end - lo);
+            words.resize(self.base - lo, 0);
+            words.extend_from_slice(&self.words);
+            words.resize(end - lo, 0);
+            self.words = words;
+            self.base = lo;
+        } else if end > self.end() {
+            self.words.resize(end - self.base, 0);
+        }
+    }
+
+    /// Drop leading and trailing zero words (the canonical form).
+    fn trim(&mut self) {
+        while self.words.last() == Some(&0) {
+            self.words.pop();
+        }
+        let lead = self.words.iter().take_while(|&&w| w == 0).count();
+        if lead > 0 {
+            self.words.drain(..lead);
+            self.base += lead;
+        }
+    }
+}
+
+/// A set of node identities, stored as per-document `u64` bitmap spans.
 ///
-/// Documents are keyed in creation order (which is their document-order
+/// Documents are kept in creation order (which is their document-order
 /// rank across documents); bits within a document are keyed by arena index.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeSet {
-    docs: BTreeMap<u32, Vec<u64>>,
+    spans: Vec<Span>,
     len: usize,
 }
 
@@ -57,9 +110,7 @@ impl NodeSet {
     /// Build a set from node ids (duplicates collapse).
     pub fn from_nodes(nodes: impl IntoIterator<Item = NodeId>) -> Self {
         let mut set = NodeSet::new();
-        for node in nodes {
-            set.insert(node);
-        }
+        set.extend(nodes);
         set
     }
 
@@ -73,252 +124,141 @@ impl NodeSet {
         self.len == 0
     }
 
+    fn span(&self, doc: u32) -> Option<&Span> {
+        self.spans
+            .binary_search_by_key(&doc, |s| s.doc)
+            .ok()
+            .map(|i| &self.spans[i])
+    }
+
+    /// The span of `doc`, created or grown to cover the words `lo..=hi`.
+    fn span_covering(&mut self, doc: u32, lo: usize, hi: usize) -> &mut Span {
+        match self.spans.binary_search_by_key(&doc, |s| s.doc) {
+            Ok(i) => {
+                self.spans[i].cover(lo, hi);
+                &mut self.spans[i]
+            }
+            Err(i) => {
+                let span = Span {
+                    doc,
+                    base: lo,
+                    words: vec![0; hi - lo + 1],
+                };
+                self.spans.insert(i, span);
+                &mut self.spans[i]
+            }
+        }
+    }
+
     /// `true` when `node` is in the set.
     pub fn contains(&self, node: NodeId) -> bool {
         let idx = node.node as usize;
-        self.docs
-            .get(&node.doc)
-            .and_then(|words| words.get(idx / WORD_BITS))
-            .is_some_and(|&word| word & (1u64 << (idx % WORD_BITS)) != 0)
+        self.span(node.doc)
+            .is_some_and(|span| span.word(idx / WORD_BITS) & (1u64 << (idx % WORD_BITS)) != 0)
     }
 
     /// Add `node`; returns `true` if it was not already present.
     pub fn insert(&mut self, node: NodeId) -> bool {
         let idx = node.node as usize;
-        let words = self.docs.entry(node.doc).or_default();
-        let word_idx = idx / WORD_BITS;
-        if words.len() <= word_idx {
-            words.resize(word_idx + 1, 0);
-        }
+        let w = idx / WORD_BITS;
+        let span = self.span_covering(node.doc, w, w);
+        let word = &mut span.words[w - span.base];
         let mask = 1u64 << (idx % WORD_BITS);
-        let fresh = words[word_idx] & mask == 0;
-        if fresh {
-            words[word_idx] |= mask;
-            self.len += 1;
-        }
+        let fresh = *word & mask == 0;
+        *word |= mask;
+        self.len += fresh as usize;
         fresh
+    }
+
+    /// Add a run of ids that all belong to one document, growing its span
+    /// once for the whole run.
+    fn insert_run(&mut self, run: &[NodeId]) {
+        let (lo, hi) = run.iter().fold((u32::MAX, 0), |(lo, hi), n| {
+            (lo.min(n.node), hi.max(n.node))
+        });
+        let span = self.span_covering(run[0].doc, lo as usize / WORD_BITS, hi as usize / WORD_BITS);
+        let mut added = 0;
+        for n in run {
+            let idx = n.node as usize;
+            let word = &mut span.words[idx / WORD_BITS - span.base];
+            let mask = 1u64 << (idx % WORD_BITS);
+            added += (*word & mask == 0) as usize;
+            *word |= mask;
+        }
+        self.len += added;
     }
 
     /// Remove `node`; returns `true` if it was present.
     pub fn remove(&mut self, node: NodeId) -> bool {
+        let Ok(i) = self.spans.binary_search_by_key(&node.doc, |s| s.doc) else {
+            return false;
+        };
+        let span = &mut self.spans[i];
         let idx = node.node as usize;
-        let Some(words) = self.docs.get_mut(&node.doc) else {
-            return false;
-        };
-        let word_idx = idx / WORD_BITS;
         let mask = 1u64 << (idx % WORD_BITS);
-        let Some(word) = words.get_mut(word_idx) else {
-            return false;
-        };
-        if *word & mask == 0 {
+        if span.word(idx / WORD_BITS) & mask == 0 {
             return false;
         }
-        *word &= !mask;
+        span.words[idx / WORD_BITS - span.base] &= !mask;
+        span.trim();
+        if span.words.is_empty() {
+            self.spans.remove(i);
+        }
         self.len -= 1;
-        Self::trim(words);
-        if words.is_empty() {
-            self.docs.remove(&node.doc);
-        }
         true
     }
 
     /// Add every node of `other` (word-parallel `self ∪= other`).
     pub fn union_in_place(&mut self, other: &NodeSet) {
-        for (&doc, other_words) in &other.docs {
-            let words = self.docs.entry(doc).or_default();
-            if words.len() < other_words.len() {
-                words.resize(other_words.len(), 0);
-            }
-            for (word, &incoming) in words.iter_mut().zip(other_words) {
-                let added = incoming & !*word;
+        for theirs in &other.spans {
+            let span = self.span_covering(theirs.doc, theirs.base, theirs.end() - 1);
+            let offset = theirs.base - span.base;
+            let mut added = 0;
+            for (word, &incoming) in span.words[offset..].iter_mut().zip(&theirs.words) {
+                added += (incoming & !*word).count_ones() as usize;
                 *word |= incoming;
-                self.len += added.count_ones() as usize;
             }
+            self.len += added;
         }
     }
 
     /// Remove every node of `other` (word-parallel `self ∖= other`).
     pub fn except_in_place(&mut self, other: &NodeSet) {
-        let mut emptied = Vec::new();
-        for (&doc, words) in self.docs.iter_mut() {
-            let Some(other_words) = other.docs.get(&doc) else {
-                continue;
+        let mut removed = 0;
+        self.spans.retain_mut(|span| {
+            let Some(theirs) = other.span(span.doc) else {
+                return true;
             };
-            for (word, &mask) in words.iter_mut().zip(other_words) {
-                let removed = *word & mask;
-                *word &= !mask;
-                self.len -= removed.count_ones() as usize;
+            let (lo, hi) = (span.base.max(theirs.base), span.end().min(theirs.end()));
+            if lo < hi {
+                let masks = &theirs.words[lo - theirs.base..hi - theirs.base];
+                for (word, &mask) in span.words[lo - span.base..].iter_mut().zip(masks) {
+                    removed += (*word & mask).count_ones() as usize;
+                    *word &= !mask;
+                }
+                span.trim();
             }
-            Self::trim(words);
-            if words.is_empty() {
-                emptied.push(doc);
-            }
-        }
-        for doc in emptied {
-            self.docs.remove(&doc);
-        }
+            !span.words.is_empty()
+        });
+        self.len -= removed;
     }
 
     /// Keep only nodes present in `other` (word-parallel `self ∩= other`).
     pub fn intersect_in_place(&mut self, other: &NodeSet) {
-        let mut emptied = Vec::new();
-        for (&doc, words) in self.docs.iter_mut() {
-            match other.docs.get(&doc) {
-                None => {
-                    for word in words.iter_mut() {
-                        self.len -= word.count_ones() as usize;
-                        *word = 0;
-                    }
-                }
-                Some(other_words) => {
-                    for (i, word) in words.iter_mut().enumerate() {
-                        let mask = other_words.get(i).copied().unwrap_or(0);
-                        let removed = *word & !mask;
-                        *word &= mask;
-                        self.len -= removed.count_ones() as usize;
-                    }
-                }
-            }
-            Self::trim(words);
-            if words.is_empty() {
-                emptied.push(doc);
-            }
-        }
-        for doc in emptied {
-            self.docs.remove(&doc);
-        }
-    }
-
-    /// Thread count to use for one document's word range: sequential
-    /// unless the range is large enough to amortize thread spawns.
-    fn word_shards(threads: usize, words: usize) -> usize {
-        if words >= SHARD_MIN_WORDS {
-            threads
-        } else {
-            1
-        }
-    }
-
-    /// Word-sharded `self ∪= other`: each document's word range is split
-    /// into contiguous shards processed by scoped threads, with the
-    /// per-shard added-bit counts summed at the join.  Bit-identical to
-    /// [`NodeSet::union_in_place`]; `threads <= 1` *is* the sequential
-    /// code path.
-    pub fn union_in_place_sharded(&mut self, other: &NodeSet, threads: usize) {
-        if threads <= 1 {
-            return self.union_in_place(other);
-        }
-        for (&doc, other_words) in &other.docs {
-            let words = self.docs.entry(doc).or_default();
-            if words.len() < other_words.len() {
-                words.resize(other_words.len(), 0);
-            }
-            let n = other_words.len();
-            let added: usize = shard::zip_shards(
-                Self::word_shards(threads, n),
-                &mut words[..n],
-                other_words,
-                |mine, incoming| {
-                    let mut added = 0usize;
-                    for (word, &inc) in mine.iter_mut().zip(incoming) {
-                        added += (inc & !*word).count_ones() as usize;
-                        *word |= inc;
-                    }
-                    added
-                },
-            )
-            .into_iter()
-            .sum();
-            self.len += added;
-        }
-    }
-
-    /// Word-sharded `self ∖= other`; see [`NodeSet::union_in_place_sharded`].
-    pub fn except_in_place_sharded(&mut self, other: &NodeSet, threads: usize) {
-        if threads <= 1 {
-            return self.except_in_place(other);
-        }
-        let mut emptied = Vec::new();
-        for (&doc, words) in self.docs.iter_mut() {
-            let Some(other_words) = other.docs.get(&doc) else {
-                continue;
+        let mut kept = 0;
+        self.spans.retain_mut(|span| {
+            let Some(theirs) = other.span(span.doc) else {
+                return false;
             };
-            let n = words.len().min(other_words.len());
-            let removed: usize = shard::zip_shards(
-                Self::word_shards(threads, n),
-                &mut words[..n],
-                &other_words[..n],
-                |mine, masks| {
-                    let mut removed = 0usize;
-                    for (word, &mask) in mine.iter_mut().zip(masks) {
-                        removed += (*word & mask).count_ones() as usize;
-                        *word &= !mask;
-                    }
-                    removed
-                },
-            )
-            .into_iter()
-            .sum();
-            self.len -= removed;
-            Self::trim(words);
-            if words.is_empty() {
-                emptied.push(doc);
+            let base = span.base;
+            for (i, word) in span.words.iter_mut().enumerate() {
+                *word &= theirs.word(base + i);
+                kept += word.count_ones() as usize;
             }
-        }
-        for doc in emptied {
-            self.docs.remove(&doc);
-        }
-    }
-
-    /// Word-sharded `self ∩= other`; see [`NodeSet::union_in_place_sharded`].
-    pub fn intersect_in_place_sharded(&mut self, other: &NodeSet, threads: usize) {
-        if threads <= 1 {
-            return self.intersect_in_place(other);
-        }
-        let mut emptied = Vec::new();
-        for (&doc, words) in self.docs.iter_mut() {
-            match other.docs.get(&doc) {
-                None => {
-                    for word in words.iter_mut() {
-                        self.len -= word.count_ones() as usize;
-                        *word = 0;
-                    }
-                }
-                Some(other_words) => {
-                    let n = words.len().min(other_words.len());
-                    let removed: usize = shard::zip_shards(
-                        Self::word_shards(threads, n),
-                        &mut words[..n],
-                        &other_words[..n],
-                        |mine, masks| {
-                            let mut removed = 0usize;
-                            for (word, &mask) in mine.iter_mut().zip(masks) {
-                                removed += (*word & !mask).count_ones() as usize;
-                                *word &= mask;
-                            }
-                            removed
-                        },
-                    )
-                    .into_iter()
-                    .sum();
-                    // Words past the operand's bitmap have no counterpart:
-                    // everything there leaves the intersection.
-                    let mut tail_removed = 0usize;
-                    for word in words[n..].iter_mut() {
-                        tail_removed += word.count_ones() as usize;
-                        *word = 0;
-                    }
-                    self.len -= removed + tail_removed;
-                }
-            }
-            Self::trim(words);
-            if words.is_empty() {
-                emptied.push(doc);
-            }
-        }
-        for doc in emptied {
-            self.docs.remove(&doc);
-        }
+            span.trim();
+            !span.words.is_empty()
+        });
+        self.len = kept;
     }
 
     /// `self ∪ other` as a new set.
@@ -351,24 +291,23 @@ impl NodeSet {
         if self.len > other.len {
             return false;
         }
-        self.docs.iter().all(|(doc, words)| {
-            let Some(other_words) = other.docs.get(doc) else {
-                return words.iter().all(|&w| w == 0);
-            };
-            words
-                .iter()
-                .enumerate()
-                .all(|(i, &word)| word & !other_words.get(i).copied().unwrap_or(0) == 0)
+        self.spans.iter().all(|span| {
+            other.span(span.doc).is_some_and(|theirs| {
+                span.words
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &word)| word & !theirs.word(span.base + i) == 0)
+            })
         })
     }
 
     /// `true` when the sets share no node.
     pub fn is_disjoint(&self, other: &NodeSet) -> bool {
-        self.docs.iter().all(|(doc, words)| {
-            let Some(other_words) = other.docs.get(doc) else {
-                return true;
-            };
-            words.iter().zip(other_words).all(|(&a, &b)| a & b == 0)
+        self.spans.iter().all(|span| {
+            other.span(span.doc).is_none_or(|theirs| {
+                let (lo, hi) = (span.base.max(theirs.base), span.end().min(theirs.end()));
+                (lo..hi).all(|w| span.word(w) & theirs.word(w) == 0)
+            })
         })
     }
 
@@ -377,9 +316,10 @@ impl NodeSet {
     /// For parsed documents this **is** document order; constructed
     /// fragments may need [`NodeSet::to_vec`] instead.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.docs.iter().flat_map(|(&doc, words)| {
-            words.iter().enumerate().flat_map(move |(word_idx, &word)| {
-                BitIter(word).map(move |bit| NodeId::new(doc, (word_idx * WORD_BITS + bit) as u32))
+        self.spans.iter().flat_map(|span| {
+            span.words.iter().enumerate().flat_map(move |(i, &word)| {
+                let first = (span.base + i) * WORD_BITS;
+                BitIter(word).map(move |bit| NodeId::new(span.doc, (first + bit) as u32))
             })
         })
     }
@@ -397,14 +337,13 @@ impl NodeSet {
     /// drivers' shards.
     pub fn to_vec(&self, store: &NodeStore) -> Vec<NodeId> {
         let mut out = Vec::with_capacity(self.len);
-        for (&doc, words) in &self.docs {
+        for span in &self.spans {
             let start = out.len();
-            for (word_idx, &word) in words.iter().enumerate() {
-                for bit in BitIter(word) {
-                    out.push(NodeId::new(doc, (word_idx * WORD_BITS + bit) as u32));
-                }
+            for (i, &word) in span.words.iter().enumerate() {
+                let first = (span.base + i) * WORD_BITS;
+                out.extend(BitIter(word).map(|bit| NodeId::new(span.doc, (first + bit) as u32)));
             }
-            if !store.index_order_is_document_order(DocId(doc)) {
+            if !store.index_order_is_document_order(DocId(span.doc)) {
                 let mut tail: Vec<NodeId> = out.split_off(start);
                 store.sort_distinct(&mut tail);
                 out.extend(tail);
@@ -412,18 +351,26 @@ impl NodeSet {
         }
         out
     }
-
-    fn trim(words: &mut Vec<u64>) {
-        while words.last() == Some(&0) {
-            words.pop();
-        }
-    }
 }
 
 impl Extend<NodeId> for NodeSet {
+    /// Bulk insert: ids are buffered a chunk at a time and each run of
+    /// same-document ids resolves and grows its document span once.
     fn extend<T: IntoIterator<Item = NodeId>>(&mut self, iter: T) {
-        for node in iter {
-            self.insert(node);
+        let mut iter = iter.into_iter();
+        let mut buf = [NodeId::new(0, 0); CHUNK];
+        loop {
+            let mut n = 0;
+            for (slot, node) in buf.iter_mut().zip(iter.by_ref()) {
+                *slot = node;
+                n += 1;
+            }
+            for run in buf[..n].chunk_by(|a, b| a.doc == b.doc) {
+                self.insert_run(run);
+            }
+            if n < CHUNK {
+                return;
+            }
         }
     }
 }
@@ -458,6 +405,8 @@ impl Iterator for BitIter {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::node::{Axis, NodeTest, QName};
 
@@ -576,39 +525,31 @@ mod tests {
         assert_eq!(set.to_vec(&store), vec![parent, child]);
         // Bit iteration remains arena-ordered; only to_vec re-sorts.
         assert_eq!(set.iter().collect::<Vec<_>>(), vec![child, parent]);
-    }
 
-    #[test]
-    fn sharded_kernels_match_sequential_bit_for_bit() {
-        // Synthetic ids: the set algebra never touches the store, so
-        // bitmaps big enough to cross SHARD_MIN_WORDS can be built without
-        // parsing a huge document.
-        fn mk(doc: u32, upto: u32, step: usize) -> NodeSet {
-            NodeSet::from_nodes((0..upto).step_by(step).map(|i| NodeId::new(doc, i)))
+        // Children created before their parent and attached in reverse:
+        // arena order 0..130, document order parent, c129, …, c0.
+        let frag = store.new_fragment();
+        let kids: Vec<NodeId> = (0..130)
+            .map(|_| store.create_element(frag, QName::local("c")))
+            .collect();
+        let parent = store.create_element(frag, QName::local("p"));
+        for &kid in kids.iter().rev() {
+            store.append_child(parent, kid).unwrap();
         }
-        let a0 = mk(0, 200_000, 3).union(&mk(1, 50_000, 7));
-        let b0 = mk(0, 200_000, 5).union(&mk(2, 80_000, 2));
-        for threads in [1, 2, 8] {
-            let mut sharded = a0.clone();
-            sharded.union_in_place_sharded(&b0, threads);
-            let mut sequential = a0.clone();
-            sequential.union_in_place(&b0);
-            assert_eq!(sharded, sequential, "union at {threads} threads");
-            assert_eq!(sharded.len(), sharded.iter().count());
-
-            let mut sharded = a0.clone();
-            sharded.except_in_place_sharded(&b0, threads);
-            let mut sequential = a0.clone();
-            sequential.except_in_place(&b0);
-            assert_eq!(sharded, sequential, "except at {threads} threads");
-            assert_eq!(sharded.len(), sharded.iter().count());
-
-            let mut sharded = a0.clone();
-            sharded.intersect_in_place_sharded(&b0, threads);
-            let mut sequential = a0.clone();
-            sequential.intersect_in_place(&b0);
-            assert_eq!(sharded, sequential, "intersect at {threads} threads");
-            assert_eq!(sharded.len(), sharded.iter().count());
+        assert!(!store.index_order_is_document_order(frag));
+        let mut rng = 7u64;
+        for _ in 0..50 {
+            // Members from arena index 64 up, so the span starts at word 1.
+            let picked: Vec<NodeId> = (0..20)
+                .map(|_| kids[64 + splitmix64(&mut rng) as usize % 66])
+                .chain([parent])
+                .collect();
+            let set = NodeSet::from_nodes(picked.iter().copied());
+            let expected: Vec<NodeId> = std::iter::once(parent)
+                .chain(kids.iter().rev().copied())
+                .filter(|n| picked.contains(n))
+                .collect();
+            assert_eq!(set.to_vec(&store), expected);
         }
     }
 
@@ -627,5 +568,119 @@ mod tests {
         assert!(empty.is_subset(&empty));
         assert!(empty.to_vec(&store).is_empty());
         assert_eq!(empty, NodeSet::new());
+    }
+
+    /// Deterministic splitmix64 stream; failures reproduce from the seed.
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Random ids over 1–3 documents, each confined to a window that
+    /// starts far from arena index 0 (so spans do not begin at word 0).
+    fn random_ids(rng: &mut u64, docs: &[(u32, u32, u32)], count: usize) -> Vec<NodeId> {
+        (0..count)
+            .map(|_| {
+                let (doc, start, width) = docs[splitmix64(rng) as usize % docs.len()];
+                NodeId::new(doc, start + (splitmix64(rng) % width as u64) as u32)
+            })
+            .collect()
+    }
+
+    fn model_of(set: &NodeSet) -> BTreeSet<NodeId> {
+        set.iter().collect()
+    }
+
+    #[test]
+    fn span_sets_agree_with_a_btreeset_model() {
+        let mut rng = 0x5eed_u64;
+        for case in 0..300 {
+            let ndocs = 1 + splitmix64(&mut rng) as usize % 3;
+            let docs: Vec<(u32, u32, u32)> = (0..ndocs)
+                .map(|d| {
+                    let start = (splitmix64(&mut rng) % 200_000) as u32;
+                    let width = 1 + (splitmix64(&mut rng) % 900) as u32;
+                    (d as u32 * 2 + 1, start, width)
+                })
+                .collect();
+
+            // Unsorted bulk construction, then single inserts and removes.
+            let count = splitmix64(&mut rng) as usize % 400;
+            let ids = random_ids(&mut rng, &docs, count);
+            let mut a = NodeSet::from_nodes(ids.iter().copied());
+            let mut model: BTreeSet<NodeId> = ids.iter().copied().collect();
+            for node in random_ids(&mut rng, &docs, 40) {
+                assert_eq!(a.insert(node), model.insert(node), "case {case}: insert");
+            }
+            let members: Vec<NodeId> = model.iter().copied().collect();
+            for node in random_ids(&mut rng, &docs, 40) {
+                assert_eq!(a.remove(node), model.remove(&node), "case {case}: remove");
+            }
+            for &node in members.iter().step_by(3) {
+                assert_eq!(a.remove(node), model.remove(&node), "case {case}: remove");
+            }
+            assert_eq!(a.len(), model.len(), "case {case}: len");
+            assert_eq!(
+                a.iter().collect::<Vec<_>>(),
+                model.iter().copied().collect::<Vec<_>>(),
+                "case {case}: iter order"
+            );
+            // The removals must leave the canonical form behind.
+            assert_eq!(
+                a,
+                NodeSet::from_nodes(model.iter().copied()),
+                "case {case}: eq"
+            );
+            for node in random_ids(&mut rng, &docs, 20) {
+                assert_eq!(
+                    a.contains(node),
+                    model.contains(&node),
+                    "case {case}: contains"
+                );
+            }
+
+            let count = splitmix64(&mut rng) as usize % 400;
+            let mut b_ids = random_ids(&mut rng, &docs, count);
+            b_ids.extend(members.iter().copied().step_by(2));
+            let mut b = NodeSet::new();
+            b.extend(b_ids.iter().rev().copied());
+            let b_model: BTreeSet<NodeId> = b_ids.iter().copied().collect();
+            assert_eq!(model_of(&b), b_model, "case {case}: extend");
+
+            let union = a.union(&b);
+            assert_eq!(model_of(&union), &model | &b_model, "case {case}: union");
+            assert_eq!(union.len(), model.union(&b_model).count());
+            let except = a.except(&b);
+            assert_eq!(model_of(&except), &model - &b_model, "case {case}: except");
+            assert_eq!(except.len(), model.difference(&b_model).count());
+            let meet = a.intersect(&b);
+            assert_eq!(model_of(&meet), &model & &b_model, "case {case}: intersect");
+            assert_eq!(meet.len(), model.intersection(&b_model).count());
+            assert_eq!(
+                meet,
+                NodeSet::from_nodes(model.intersection(&b_model).copied())
+            );
+
+            assert_eq!(
+                a.is_subset(&b),
+                model.is_subset(&b_model),
+                "case {case}: subset"
+            );
+            assert_eq!(
+                b.is_subset(&a),
+                b_model.is_subset(&model),
+                "case {case}: subset"
+            );
+            assert!(a.is_subset(&union) && meet.is_subset(&b));
+            assert_eq!(
+                a.is_disjoint(&b),
+                model.is_disjoint(&b_model),
+                "case {case}: disjoint"
+            );
+            assert!(except.is_disjoint(&b));
+        }
     }
 }

@@ -8,11 +8,12 @@
 //! Large operands run on the bitset-backed [`NodeSet`] kernel: building the
 //! sets is O(n) bit inserts, the set algebra itself is word-parallel, and
 //! materializing back to a document-ordered `Vec<NodeId>` is a linear
-//! bitmap scan on parsed documents (see [`NodeSet::to_vec`]).  The bitmap
-//! for a document is sized by the highest arena index present, so for
-//! *small* operands inside a large document the dense path would allocate
-//! and scan far more than the operands warrant — those calls take a sparse
-//! path instead (sort / nested scans over at most [`SPARSE_LIMIT`] ids).
+//! bitmap scan on parsed documents (see [`NodeSet::to_vec`]).  A
+//! document's bitmap spans the words between its lowest and highest member,
+//! so *small* operands scattered across a large document would still
+//! allocate and scan far more than the operands warrant — those calls take
+//! a sparse path instead (sort / nested scans over at most
+//! [`SPARSE_LIMIT`] ids).
 //!
 //! The fixpoint runtimes in `xqy_eval` / `xqy_algebra` keep their
 //! accumulators as `NodeSet`s directly and bypass the slice round-trip
@@ -29,7 +30,7 @@ use crate::store::NodeStore;
 
 /// Operand-size threshold below which the slice operations use sparse
 /// sort/scan algorithms instead of the dense bitmaps (whose cost scales
-/// with the highest arena index present, not with the operand size).
+/// with the span of arena indexes present, not with the operand size).
 pub const SPARSE_LIMIT: usize = 64;
 
 /// `fs:distinct-doc-order` — sort into document order, drop duplicates.

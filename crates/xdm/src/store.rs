@@ -21,7 +21,7 @@
 //! only ever mutated through `&mut NodeStore`, so shared references never
 //! race on it.  The *derived* per-document state — document-order ranks and
 //! the ID index, which are rebuilt lazily on first access after a mutation —
-//! lives behind a per-document `RwLock`, and the `id()` probe memo behind a
+//! lives behind a per-document `RwLock`, and the string-value memo behind a
 //! `Mutex`, so every read-only operation (document order, `sort_distinct`,
 //! ID lookup) works through `&NodeStore`.  `NodeStore` is therefore [`Sync`]
 //! and a frozen [`StoreSnapshot`] can be handed to a scoped thread pool; see
@@ -33,6 +33,7 @@ use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 use crate::error::XdmError;
+use crate::fxhash::FxHashMap;
 use crate::intern::{StrId, TextPool};
 use crate::node::{Axis, NodeId, NodeKind, NodeTest, QName};
 use crate::value::UText;
@@ -64,7 +65,7 @@ struct Derived {
     /// Map from ID value (as its text-pool symbol) to the first element
     /// carrying it.  Keying on [`StrId`] makes the rebuild allocation-free:
     /// attribute payloads already carry their symbols.
-    id_index: HashMap<StrId, u32>,
+    id_index: FxHashMap<StrId, u32>,
     /// Set when the document has been mutated since the last rebuild.
     dirty: bool,
     /// `true` when arena index order coincides with document order (always
@@ -72,7 +73,7 @@ struct Derived {
     /// Lets [`crate::NodeSet`] emit document order straight from its bitmaps.
     index_is_order: bool,
     /// Bumped every time a rebuild actually happens.  Caches of
-    /// per-document derived state (the store's `id()` probe memo) compare
+    /// per-document derived state (the store's string-value memo) compare
     /// this to detect that a rebuild happened — regardless of *which* store
     /// operation triggered it.
     version: u64,
@@ -82,7 +83,7 @@ impl Derived {
     fn new() -> Self {
         Derived {
             order: Vec::new(),
-            id_index: HashMap::new(),
+            id_index: FxHashMap::default(),
             dirty: true,
             index_is_order: true,
             version: 0,
@@ -208,7 +209,7 @@ fn assign_order(nodes: &[NodeData], order: &mut [u32], node: u32, rank: &mut u32
 fn rebuild_id_index(
     nodes: &[NodeData],
     id_attr_names: &[String],
-    id_index: &mut HashMap<StrId, u32>,
+    id_index: &mut FxHashMap<StrId, u32>,
 ) {
     for (idx, node) in nodes.iter().enumerate() {
         if !node.kind.is_element() {
@@ -227,26 +228,13 @@ fn rebuild_id_index(
     }
 }
 
-/// Memo of [`NodeStore::lookup_id`] probes, one map per document, each
-/// tagged with the `Derived::version` it was built against; see the field
-/// documentation on [`NodeStore`].
-#[derive(Debug, Default, Clone)]
-struct IdProbeCache {
-    /// The [`NodeStore::load_epoch`] value the memo is valid for.
-    epoch: u64,
-    /// Keyed on the probed value's text-pool symbol, so a repeated probe
-    /// neither allocates on hit *nor* on miss.
-    per_doc: HashMap<u32, (u64, HashMap<StrId, Option<NodeId>>)>,
-}
-
 /// Memo of element/document `string_value` concatenations, one map per
-/// document, each tagged with the `Derived::version` it was built against —
-/// the same invalidation protocol as [`IdProbeCache`]: entries survive
-/// exactly as long as the document's derived state, whichever store
-/// operation triggered the rebuild.
+/// document, each tagged with the `Derived::version` it was built against:
+/// entries survive exactly as long as the document's derived state,
+/// whichever store operation triggered the rebuild.
 #[derive(Debug, Default, Clone)]
 struct TextMemoCache {
-    per_doc: HashMap<u32, (u64, HashMap<u32, Arc<str>>)>,
+    per_doc: FxHashMap<u32, (u64, FxHashMap<u32, Arc<str>>)>,
 }
 
 /// A node's string value without a forced render: borrowed straight from
@@ -343,28 +331,11 @@ pub struct NodeStore {
     /// staleness boundary the [`SnapshotPin`] / [`StoreSnapshot`] freeze
     /// protocol validates against.
     revision: u64,
-    /// Memo of [`NodeStore::lookup_id`] probes, one map per document, each
-    /// tagged with the `Derived::version` it was built against.  The
-    /// fixpoint drivers probe the same handful of ID values once per
-    /// iteration (and, in per-item workloads, once per seed); the memo
-    /// answers repeats without re-touching the full `id_index`.
-    /// Invalidation: the whole memo is dropped when
-    /// [`NodeStore::load_epoch`] moves (`IdProbeCache::epoch` records the
-    /// epoch the memo was built under), and a single document's entries are
-    /// dropped when its version tag no longer matches — i.e. whenever a
-    /// rebuild happened, *whichever* store operation triggered it
-    /// (doc-order queries refresh too, not just `lookup_id` itself).
-    /// Behind a `Mutex` so probes work from shared (snapshot) read paths.
-    id_probe: Mutex<IdProbeCache>,
-    /// Lifetime count of probes answered from the memo.  Atomic for the
-    /// same reason the memo is locked; the counter is monotonic telemetry,
-    /// so `Relaxed` ordering suffices.
-    id_probe_hits: AtomicU64,
     /// Memo of element/document `string_value` concatenations — atomizing
     /// the same element across fixpoint iterations re-renders nothing.
     /// Invalidated per document by the `Derived::version` tag (see
-    /// [`TextMemoCache`]); behind a `Mutex` for the same reason as
-    /// `id_probe`.
+    /// [`TextMemoCache`]); behind a `Mutex` so string values can be read
+    /// through shared (snapshot) references.
     text_memo: Mutex<TextMemoCache>,
     /// Memo of [`NodeStore::statistics`], keyed on the revision it was
     /// computed at (`StoreStatistics::revision`).  Behind a `Mutex` so the
@@ -383,11 +354,6 @@ impl Clone for NodeStore {
             nodes_created: self.nodes_created,
             load_epoch: self.load_epoch,
             revision: self.revision,
-            id_probe: Mutex::new(mutex_lock(&self.id_probe).clone()),
-            id_probe_hits: AtomicU64::new(
-                self.id_probe_hits
-                    .load(std::sync::atomic::Ordering::Relaxed),
-            ),
             text_memo: Mutex::new(mutex_lock(&self.text_memo).clone()),
             stats_memo: Mutex::new(mutex_lock(&self.stats_memo).clone()),
         }
@@ -547,96 +513,37 @@ impl NodeStore {
         }
     }
 
-    /// Find the element in `doc` whose ID-typed attribute equals `value`.
-    ///
-    /// Probes are memoized per load-epoch: fixpoint iterations probing the
-    /// same ID values over and over are answered from a per-document memo
-    /// ([`NodeStore::id_probe_hits`] counts them), which is invalidated
-    /// whenever [`NodeStore::load_epoch`] moves (new document, new ID
-    /// attribute registration) and, per document, whenever the document is
-    /// refreshed after a mutation.  The memo lives behind a `Mutex`, so
-    /// probes work from shared references — including snapshot reads from
-    /// multiple threads.
+    /// Find the element in `doc` whose ID-typed attribute equals `value`:
+    /// one probe of the document's ID index, rebuilt first if the document
+    /// changed since the last rebuild.
     pub fn lookup_id(&self, doc: DocId, value: &str) -> Option<NodeId> {
         let d = self.docs.get(doc.0 as usize)?;
-        let derived = d.derived();
         // Every `id_index` key is an attribute payload, and every attribute
         // payload lives in the text pool — so a value the pool has never
-        // seen cannot match, and the whole probe (memo included) can key on
-        // the pool symbol instead of allocating the probed string.
+        // seen cannot match, and the probe keys on the pool symbol instead
+        // of allocating the probed string.
         let sym = self.text.get(value)?;
-        // Under concurrent snapshot readers the memo's mutex would be a
-        // store-wide serialization point; the derived ID index answers in
-        // O(1) anyway, so a contended probe skips the memo instead of
-        // queueing on it.  Single-threaded probes (and their hit counter)
-        // are unaffected.
-        let mut probe = match self.id_probe.try_lock() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                return derived.id_index.get(&sym).map(|&n| NodeId::new(doc.0, n));
-            }
-        };
-        if probe.epoch != self.load_epoch {
-            probe.per_doc.clear();
-            probe.epoch = self.load_epoch;
-        }
-        // The memo is valid only for the index-rebuild generation it was
-        // filled under.  Comparing versions (instead of checking `dirty`
-        // here) also catches rebuilds triggered by *other* store
-        // operations — a doc-order query between a mutation and this probe
-        // refreshes the document without passing through `lookup_id`.
-        let (version, memo) = probe
-            .per_doc
-            .entry(doc.0)
-            .or_insert_with(|| (derived.version, HashMap::new()));
-        if *version != derived.version {
-            *version = derived.version;
-            memo.clear();
-        }
-        if let Some(&hit) = memo.get(&sym) {
-            self.id_probe_hits
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            return hit;
-        }
-        let found = derived.id_index.get(&sym).map(|&n| NodeId::new(doc.0, n));
-        memo.insert(sym, found);
-        found
+        let derived = d.derived();
+        derived.id_index.get(&sym).map(|&n| NodeId::new(doc.0, n))
     }
 
-    /// Lifetime count of [`NodeStore::lookup_id`] probes answered from the
-    /// per-epoch memo instead of the document index.
-    pub fn id_probe_hits(&self) -> u64 {
-        self.id_probe_hits
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Drop the store's recomputable memos (string-value concatenations and
-    /// `id()` probe entries), returning an estimate of the bytes freed.
+    /// Drop the store's recomputable string-value memo, returning an
+    /// estimate of the bytes freed.
     ///
     /// This is the store's contribution to budget *relief* (see
-    /// [`crate::budget`]): under memory pressure a driver trades these
-    /// caches — repopulated lazily, at recompute cost — for headroom before
-    /// failing the query.  Works through `&self`; concurrent readers simply
-    /// see cold memos afterwards.
+    /// [`crate::budget`]): under memory pressure a driver trades the memo —
+    /// repopulated lazily, at recompute cost — for headroom before failing
+    /// the query.  Works through `&self`; concurrent readers simply see a
+    /// cold memo afterwards.
     pub fn release_memory(&self) -> u64 {
         let mut freed = 0u64;
-        {
-            let mut memo = mutex_lock(&self.text_memo);
-            for (_, (_, map)) in memo.per_doc.iter() {
-                for arc in map.values() {
-                    freed += arc.len() as u64 + 64;
-                }
+        let mut memo = mutex_lock(&self.text_memo);
+        for (_, (_, map)) in memo.per_doc.iter() {
+            for arc in map.values() {
+                freed += arc.len() as u64 + 64;
             }
-            memo.per_doc.clear();
         }
-        {
-            let mut probe = mutex_lock(&self.id_probe);
-            for (_, (_, map)) in probe.per_doc.iter() {
-                freed += map.len() as u64 * 64;
-            }
-            probe.per_doc.clear();
-        }
+        memo.per_doc.clear();
         freed
     }
 
@@ -1094,7 +1001,7 @@ impl NodeStore {
         let (tag, map) = memo
             .per_doc
             .entry(node.doc)
-            .or_insert_with(|| (version, HashMap::new()));
+            .or_insert_with(|| (version, FxHashMap::default()));
         if *tag != version {
             *tag = version;
             map.clear();
@@ -1113,7 +1020,7 @@ impl NodeStore {
         let (tag, map) = memo
             .per_doc
             .entry(node.doc)
-            .or_insert_with(|| (version, HashMap::new()));
+            .or_insert_with(|| (version, FxHashMap::default()));
         if *tag == version {
             map.insert(node.node, arc.clone());
         }
@@ -1172,9 +1079,18 @@ impl NodeStore {
         if nodes.len() <= 1 {
             return;
         }
+        let doc = nodes[0].doc;
+        if nodes.iter().all(|n| n.doc == doc) {
+            // One document (the common case): ranks are unique within it,
+            // so equal nodes sort next to each other.
+            let derived = self.docs[doc as usize].derived();
+            nodes.sort_unstable_by_key(|n| derived.order[n.node as usize]);
+            nodes.dedup();
+            return;
+        }
         // Refresh every involved document once (one read guard per doc),
         // then sort by the cached ranks.
-        let mut guards: HashMap<u32, RwLockReadGuard<'_, Derived>> = HashMap::new();
+        let mut guards: FxHashMap<u32, RwLockReadGuard<'_, Derived>> = FxHashMap::default();
         for &n in nodes.iter() {
             guards
                 .entry(n.doc)
@@ -1550,45 +1466,47 @@ mod tests {
     }
 
     #[test]
-    fn id_probe_cache_answers_repeats_and_invalidates_on_epoch_bump() {
+    fn lookup_id_follows_load_epoch_moves() {
         let mut store = NodeStore::new();
-        let doc = store
-            .parse_document("<curriculum><course code=\"c1\"/><course code=\"c2\"/></curriculum>")
+        let d1 = store
+            .parse_document("<r><a code=\"c1\"/><b id=\"x1\"/></r>")
             .unwrap();
-        // Miss, cached: the second identical probe is a memo hit.
-        assert_eq!(store.lookup_id(doc, "c1"), None);
-        let hits = store.id_probe_hits();
-        assert_eq!(store.lookup_id(doc, "c1"), None);
-        assert_eq!(store.id_probe_hits(), hits + 1);
+        let r = store.document_element(d1).unwrap();
+        let a = store.axis_nodes(r, Axis::Child, &NodeTest::Name("a".into()))[0];
+        assert_eq!(
+            store.lookup_id(d1, "c1"),
+            None,
+            "`code` is not ID-typed yet"
+        );
+        assert_eq!(store.lookup_id(d1, "n9"), None, "value not in the pool yet");
 
-        // Registering an ID attribute bumps the load epoch: the stale
-        // cached miss must NOT survive — the probe now finds the element.
-        store.register_id_attribute(doc, "code");
-        let c1 = store.lookup_id(doc, "c1").expect("cache was invalidated");
-        assert_eq!(store.attribute_value(c1, "code"), Some("c1"));
+        // A new ID-attribute registration moves the epoch and the answer.
+        let epoch = store.load_epoch();
+        store.register_id_attribute(d1, "code");
+        assert_ne!(store.load_epoch(), epoch);
+        assert_eq!(store.lookup_id(d1, "c1"), Some(a));
 
-        // Repeated hits after the rebuild come from the memo again.
-        let hits = store.id_probe_hits();
-        assert_eq!(store.lookup_id(doc, "c1"), Some(c1));
-        assert_eq!(store.lookup_id(doc, "c1"), Some(c1));
-        assert_eq!(store.id_probe_hits(), hits + 2);
-
-        // Loading a new document bumps the epoch too; probes against the
-        // old document still resolve correctly afterwards.
-        let _ = store.parse_document("<x/>").unwrap();
-        assert_eq!(store.lookup_id(doc, "c1"), Some(c1));
-        assert_eq!(store.lookup_id(doc, "c2"), store.lookup_id(doc, "c2"));
+        // A second document load moves the epoch again; its IDs resolve in
+        // it, not in the first document, whose answers stand.
+        let epoch = store.load_epoch();
+        let d2 = store.parse_document("<s><e id=\"n9\"/></s>").unwrap();
+        assert_ne!(store.load_epoch(), epoch);
+        let e = store.document_element(d2).unwrap();
+        let e = store.axis_nodes(e, Axis::Child, &NodeTest::AnyElement)[0];
+        assert_eq!(store.lookup_id(d2, "n9"), Some(e));
+        assert_eq!(store.lookup_id(d1, "n9"), None);
+        assert_eq!(store.lookup_id(d1, "c1"), Some(a));
+        assert_eq!(store.lookup_id(d2, "c1"), None);
     }
 
     #[test]
-    fn id_probe_cache_sees_same_epoch_document_mutation() {
+    fn lookup_id_sees_same_epoch_document_mutation() {
         // Mutating a document (construction) marks it dirty without moving
-        // the load epoch; the per-document memo entries must be dropped on
-        // the next index rebuild so probes see the post-mutation index.
+        // the load epoch; the next probe must see the rebuilt index.
         let mut store = NodeStore::new();
         let doc = store.parse_document("<r><a id=\"n1\"/></r>").unwrap();
         let n1 = store.lookup_id(doc, "n1").unwrap();
-        assert_eq!(store.lookup_id(doc, "n2"), None); // cached miss
+        assert_eq!(store.lookup_id(doc, "n2"), None);
         let root = store.document_element(doc).unwrap();
         let fresh = store.create_element(doc, QName::local("b"));
         store
@@ -1598,11 +1516,10 @@ mod tests {
         assert_eq!(store.lookup_id(doc, "n2"), Some(fresh), "miss not stale");
         assert_eq!(store.lookup_id(doc, "n1"), Some(n1));
 
-        // The treacherous interleaving: mutate, then let a *different*
-        // store operation (a doc-order comparison, as the fixpoint drivers
-        // issue between iterations) trigger the refresh, then probe.  The
-        // memo's version tag — not the dirty flag — must catch this.
-        assert_eq!(store.lookup_id(doc, "n3"), None); // cached miss
+        // Mutate, then let a *different* store operation (a doc-order
+        // comparison, as the fixpoint drivers issue between iterations)
+        // trigger the refresh, then probe.
+        assert_eq!(store.lookup_id(doc, "n3"), None);
         let later = store.create_element(doc, QName::local("c"));
         store
             .add_attribute(later, QName::local("id"), "n3")
@@ -1612,7 +1529,7 @@ mod tests {
         assert_eq!(
             store.lookup_id(doc, "n3"),
             Some(later),
-            "externally triggered refresh must invalidate the memo"
+            "an externally triggered refresh must not hide the new ID"
         );
     }
 
